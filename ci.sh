@@ -9,6 +9,10 @@ set -eux
 cargo build --release
 cargo test -q --workspace
 
+# Benchmark self-tests: perfbench is its own crate outside the
+# workspace, so its statistics tests need their own invocation.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.
 cargo fmt --all --check

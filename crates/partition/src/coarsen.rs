@@ -81,23 +81,28 @@ pub fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
         vwgt[coarse_of[v] as usize] += g.vertex_weight(v);
     }
 
-    // Build coarse adjacency by merging the two fine adjacency lists of
-    // each coarse vertex with a dense scatter buffer.
+    // Build coarse adjacency by merging the fine adjacency lists of each
+    // coarse vertex's members (ascending fine ids) with a dense scatter
+    // buffer. Coarse ids were handed out in order of each pair's lower
+    // member, so visiting those representatives in ascending order
+    // visits the coarse vertices in id order.
     let mut xadj = Vec::with_capacity(nc + 1);
     xadj.push(0usize);
     let mut adjncy: Vec<u32> = Vec::with_capacity(g.adjncy().len() / 2);
     let mut ewgt: Vec<i64> = Vec::with_capacity(g.adjncy().len() / 2);
     let mut slot_of = vec![u32::MAX; nc]; // coarse neighbour -> slot in current row
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
     for v in 0..n {
-        members[coarse_of[v] as usize].push(v as u32);
-    }
-    for (c, mem) in members.iter().enumerate() {
+        let mate = match_of[v] as usize;
+        if mate < v {
+            continue; // merged into the row of its lower member
+        }
+        let c = coarse_of[v];
         let row_start = adjncy.len();
-        for &v in mem {
-            for (u, w) in g.neighbors_weighted(v as usize) {
+        let members = [v, mate];
+        for &m in &members[..if mate == v { 1 } else { 2 }] {
+            for (u, w) in g.neighbors_weighted(m) {
                 let cu = coarse_of[u as usize];
-                if cu as usize == c {
+                if cu == c {
                     continue; // internal edge disappears
                 }
                 let slot = slot_of[cu as usize];
@@ -127,15 +132,17 @@ pub fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
 /// progress stalls. Returns the sequence of levels, finest first.
 pub fn coarsen_to(g: &Graph, target_size: usize, rng: &mut SplitMix) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.num_vertices() > target_size {
-        let matching = heavy_edge_matching(&current, rng);
-        let level = contract(&current, &matching);
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.num_vertices() <= target_size {
+            break;
+        }
+        let matching = heavy_edge_matching(current, rng);
+        let level = contract(current, &matching);
         let shrink = level.graph.num_vertices() as f64 / current.num_vertices() as f64;
         if shrink > 0.95 {
             break; // nearly no matching possible; stop
         }
-        current = level.graph.clone();
         levels.push(level);
     }
     levels

@@ -7,6 +7,12 @@
 //! the end of the pass the prefix of moves with the best observed cut is
 //! kept and the remainder rolled back. Passes repeat until no
 //! improvement is found.
+//!
+//! Gains and external-degree counts are computed once per call
+//! (O(n + m)) and kept exact through every move and rollback, together
+//! with the set of vertices that seed a pass's heap. A pass therefore
+//! costs the size of that seed set plus the degrees of the vertices it
+//! moves, not a rescan of the graph.
 
 use crate::Bisection;
 use sparsegraph::Graph;
@@ -16,6 +22,95 @@ use std::collections::BinaryHeap;
 /// Upper limit of consecutive non-improving moves inside one pass
 /// before the pass is cut short (standard FM early exit).
 const MAX_BAD_MOVES: usize = 150;
+
+/// Move gains of a bisection, exact for the current `part_of`.
+struct Gains {
+    /// Weight of external edges minus weight of internal edges.
+    gain: Vec<i64>,
+    /// Number of neighbours on the other side.
+    ext: Vec<u32>,
+    /// Vertices that seed a pass: boundary vertices (`ext > 0`) and
+    /// vertices whose move would not cost anything (`gain >= 0`).
+    seeds: Vec<u32>,
+    /// Position of each vertex in `seeds`, `u32::MAX` if absent.
+    seed_pos: Vec<u32>,
+}
+
+impl Gains {
+    fn new(g: &Graph, part_of: &[u8]) -> Gains {
+        let n = g.num_vertices();
+        let mut gains = Gains {
+            gain: vec![0; n],
+            ext: vec![0; n],
+            seeds: Vec::new(),
+            seed_pos: vec![u32::MAX; n],
+        };
+        for v in 0..n {
+            let pv = part_of[v];
+            for (u, w) in g.neighbors_weighted(v) {
+                if part_of[u as usize] == pv {
+                    gains.gain[v] -= w;
+                } else {
+                    gains.gain[v] += w;
+                    gains.ext[v] += 1;
+                }
+            }
+            gains.update_seed(v);
+        }
+        gains
+    }
+
+    /// Re-establish `v`'s membership of the seed set.
+    fn update_seed(&mut self, v: usize) {
+        let wanted = self.ext[v] > 0 || self.gain[v] >= 0;
+        let pos = self.seed_pos[v];
+        if wanted && pos == u32::MAX {
+            self.seed_pos[v] = self.seeds.len() as u32;
+            self.seeds.push(v as u32);
+        } else if !wanted && pos != u32::MAX {
+            self.seeds.swap_remove(pos as usize);
+            if let Some(&moved) = self.seeds.get(pos as usize) {
+                self.seed_pos[moved as usize] = pos;
+            }
+            self.seed_pos[v] = u32::MAX;
+        }
+    }
+
+    /// Move `v` to the other side and update its gain and every
+    /// neighbour's.
+    fn flip(&mut self, g: &Graph, part_of: &mut [u8], v: usize) {
+        let to = 1 - part_of[v];
+        part_of[v] = to;
+        self.gain[v] = -self.gain[v];
+        self.ext[v] = g.degree(v) as u32 - self.ext[v];
+        self.update_seed(v);
+        for (u, w) in g.neighbors_weighted(v) {
+            let u = u as usize;
+            // v left u's side or joined it.
+            if part_of[u] == to {
+                self.gain[u] -= 2 * w;
+                self.ext[u] -= 1;
+            } else {
+                self.gain[u] += 2 * w;
+                self.ext[u] += 1;
+            }
+            self.update_seed(u);
+        }
+    }
+
+    /// Whether the carried state equals a from-scratch recompute.
+    fn is_exact(&self, g: &Graph, part_of: &[u8]) -> bool {
+        let fresh = Gains::new(g, part_of);
+        let sorted = |s: &[u32]| {
+            let mut s = s.to_vec();
+            s.sort_unstable();
+            s
+        };
+        self.gain == fresh.gain
+            && self.ext == fresh.ext
+            && sorted(&self.seeds) == sorted(&fresh.seeds)
+    }
+}
 
 /// Refine a bisection in place. Returns the number of improving passes.
 pub fn fm_refine(
@@ -33,45 +128,30 @@ pub fn fm_refine(
         ((target[0] as f64) * ubfactor).ceil() as i64,
         ((target[1] as f64) * ubfactor).ceil() as i64,
     ];
+    let mut gains = Gains::new(g, &bis.part_of);
+    let mut locked = vec![false; n];
+    let mut moves: Vec<u32> = Vec::new();
     let mut passes_done = 0;
 
     for _ in 0..max_passes {
-        // Gains: weight of external edges minus internal edges.
-        let mut gain = vec![0i64; n];
-        for v in 0..n {
-            let pv = bis.part_of[v];
-            let mut gv = 0i64;
-            for (u, w) in g.neighbors_weighted(v) {
-                if bis.part_of[u as usize] == pv {
-                    gv -= w;
-                } else {
-                    gv += w;
-                }
-            }
-            gain[v] = gv;
-        }
-        let mut locked = vec![false; n];
         // Max-heap of (gain, vertex); stale entries skipped lazily.
-        let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
-        for v in 0..n {
-            // Seed with boundary vertices; interior vertices enter the
-            // heap lazily as their neighbours move.
-            let boundary = g
-                .neighbors_weighted(v)
-                .any(|(u, _)| bis.part_of[u as usize] != bis.part_of[v]);
-            if boundary || gain[v] >= 0 {
-                heap.push((gain[v], Reverse(v as u32)));
-            }
-        }
-        // For graphs with no boundary (already perfect), seed everything
+        // Interior vertices enter it as their neighbours move. A
+        // bisection without seeds (already perfect) seeds every vertex
         // so balance can still be fixed.
-        if heap.is_empty() {
-            for v in 0..n {
-                heap.push((gain[v], Reverse(v as u32)));
-            }
-        }
+        let seeds: Vec<(i64, Reverse<u32>)> = if gains.seeds.is_empty() {
+            (0..n as u32)
+                .map(|v| (gains.gain[v as usize], Reverse(v)))
+                .collect()
+        } else {
+            gains
+                .seeds
+                .iter()
+                .map(|&v| (gains.gain[v as usize], Reverse(v)))
+                .collect()
+        };
+        let mut heap = BinaryHeap::from(seeds);
 
-        let mut moves: Vec<u32> = Vec::new();
+        moves.clear();
         let mut cur_cut = bis.cut;
         let mut cur_w = bis.part_weights;
         let mut best_cut = bis.cut;
@@ -81,7 +161,7 @@ pub fn fm_refine(
 
         while let Some((gtop, Reverse(v))) = heap.pop() {
             let v = v as usize;
-            if locked[v] || gtop != gain[v] {
+            if locked[v] || gtop != gains.gain[v] {
                 continue; // stale heap entry
             }
             let from = bis.part_of[v] as usize;
@@ -98,24 +178,15 @@ pub fn fm_refine(
             }
             // Execute the tentative move.
             locked[v] = true;
-            bis.part_of[v] = to as u8;
             cur_w[from] -= wv;
             cur_w[to] += wv;
-            cur_cut -= gain[v];
+            cur_cut -= gains.gain[v];
             moves.push(v as u32);
-            // Update neighbour gains.
-            for (u, w) in g.neighbors_weighted(v) {
-                let u = u as usize;
-                if locked[u] {
-                    continue;
+            gains.flip(g, &mut bis.part_of, v);
+            for &u in g.neighbors(v) {
+                if !locked[u as usize] {
+                    heap.push((gains.gain[u as usize], Reverse(u)));
                 }
-                // v left u's "same part" set or joined it.
-                if bis.part_of[u] as usize == to {
-                    gain[u] -= 2 * w;
-                } else {
-                    gain[u] += 2 * w;
-                }
-                heap.push((gain[u], Reverse(u as u32)));
             }
 
             let now_feasible = cur_w[0] <= max_allowed[0] && cur_w[1] <= max_allowed[1];
@@ -137,16 +208,29 @@ pub fn fm_refine(
             }
         }
 
-        // Roll back moves after the best prefix.
-        for &v in &moves[best_len..] {
+        // Roll back moves after the best prefix, keeping gains exact.
+        for &v in moves[best_len..].iter().rev() {
             let v = v as usize;
-            let cur = bis.part_of[v] as usize;
-            bis.part_of[v] = (1 - cur) as u8;
+            let wv = g.vertex_weight(v);
+            cur_w[bis.part_of[v] as usize] -= wv;
+            cur_w[1 - bis.part_of[v] as usize] += wv;
+            gains.flip(g, &mut bis.part_of, v);
+        }
+        for &v in &moves {
+            locked[v as usize] = false;
         }
         let improved = best_len > 0 && best_cut < bis.cut;
-        let new_state = Bisection::recompute(g, std::mem::take(&mut bis.part_of));
-        *bis = new_state;
-        debug_assert_eq!(bis.cut, if best_len > 0 { best_cut } else { bis.cut });
+        bis.cut = best_cut;
+        bis.part_weights = cur_w;
+        debug_assert!(gains.is_exact(g, &bis.part_of));
+        debug_assert_eq!(
+            (bis.cut, bis.part_weights),
+            {
+                let fresh = Bisection::recompute(g, bis.part_of.clone());
+                (fresh.cut, fresh.part_weights)
+            },
+            "carried cut and part weights drifted"
+        );
         if improved {
             passes_done += 1;
         } else {

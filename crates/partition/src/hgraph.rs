@@ -9,6 +9,7 @@
 
 use crate::rng::SplitMix;
 use sparsegraph::Hypergraph;
+use std::borrow::Cow;
 
 /// Nets larger than this are ignored during matching and receive no
 /// incremental gain updates during FM (they are almost always cut and
@@ -298,20 +299,26 @@ fn objective_value(hg: &WorkHg, counts: &[[u32; 2]], obj: HyperObjective) -> i64
 
 /// Gain of moving vertex `v` to the other side, from net side counts.
 fn move_gain(hg: &WorkHg, counts: &[[u32; 2]], part_of: &[u8], v: usize) -> i64 {
-    let from = part_of[v] as usize;
-    let to = 1 - from;
-    let mut gain = 0i64;
-    for &j in hg.vertex_nets(v) {
-        let j = j as usize;
-        let cf = counts[j][from];
-        let ct = counts[j][to];
-        if cf == 1 && ct > 0 {
-            gain += hg.nwgt[j]; // net becomes internal to `to`
-        } else if ct == 0 && cf > 1 {
-            gain -= hg.nwgt[j]; // net becomes newly cut
-        }
+    let side = part_of[v] as usize;
+    hg.vertex_nets(v)
+        .iter()
+        .map(|&j| net_gain(counts[j as usize], side, hg.nwgt[j as usize]))
+        .sum()
+}
+
+/// Contribution of a net with side counts `counts` and weight `weight`
+/// to the move gain of one of its pins on side `side`.
+#[inline]
+fn net_gain(counts: [u32; 2], side: usize, weight: i64) -> i64 {
+    let cf = counts[side];
+    let ct = counts[1 - side];
+    if cf == 1 && ct > 0 {
+        weight // net becomes internal to the other side
+    } else if ct == 0 && cf > 1 {
+        -weight // net becomes newly cut
+    } else {
+        0
     }
-    gain
 }
 
 /// Greedy growing initial bisection on the coarsest hypergraph.
@@ -399,7 +406,142 @@ fn initial_bisection(
     best.expect("at least one trial").0
 }
 
+/// Hypergraph FM state carried across passes: side counts, move gains
+/// and the cut, kept exact for the current `part_of` between passes.
+struct HgGains {
+    counts: Vec<[u32; 2]>,
+    gain: Vec<i64>,
+    cut: i64,
+    /// Undo log of the current pass's moves: (vertex, gain before the
+    /// move) for each vertex a move changed, oldest first.
+    undo: Vec<(u32, i64)>,
+    /// Pins whose gain the current move changed (scratch of `flip`).
+    touched: Vec<u32>,
+    is_touched: Vec<bool>,
+}
+
+impl HgGains {
+    fn new(hg: &WorkHg, part_of: &[u8], obj: HyperObjective) -> HgGains {
+        let counts = side_counts(hg, part_of);
+        let cut = objective_value(hg, &counts, obj);
+        let gain = (0..hg.num_vertices())
+            .map(|v| move_gain(hg, &counts, part_of, v))
+            .collect();
+        HgGains {
+            counts,
+            gain,
+            cut,
+            undo: Vec::new(),
+            touched: Vec::new(),
+            is_touched: vec![false; hg.num_vertices()],
+        }
+    }
+
+    /// Whether the carried state equals a from-scratch recompute.
+    fn is_exact(&self, hg: &WorkHg, part_of: &[u8], obj: HyperObjective) -> bool {
+        let fresh = HgGains::new(hg, part_of, obj);
+        self.counts == fresh.counts && self.gain == fresh.gain && self.cut == fresh.cut
+    }
+
+    /// Move one pin of net `j` from side `from` to the other side,
+    /// keeping the cut exact. Returns the net's counts before the move.
+    #[inline]
+    fn move_pin(&mut self, j: usize, from: usize, weight: i64) -> [u32; 2] {
+        let before = self.counts[j];
+        self.counts[j][from] -= 1;
+        self.counts[j][1 - from] += 1;
+        let after = self.counts[j];
+        let was_cut = before[0] > 0 && before[1] > 0;
+        let is_cut = after[0] > 0 && after[1] > 0;
+        self.cut += (is_cut as i64 - was_cut as i64) * weight;
+        before
+    }
+
+    /// Move `v` to the other side. Side counts and the cut stay exact.
+    /// On nets of at most [`BIG_NET`] pins every pin's gain (`v`'s and
+    /// locked pins' included) moves by its O(1) delta, logged in
+    /// `undo`, and `changed(u, gain)` then reports each other pin whose
+    /// gain moved, once, with its final gain. Bigger nets only have
+    /// their counts moved: `big(j, counts)` reports each with its counts
+    /// before the move, and their pins' gains are left for the caller
+    /// to settle.
+    fn flip(
+        &mut self,
+        hg: &WorkHg,
+        part_of: &mut [u8],
+        v: usize,
+        mut changed: impl FnMut(usize, i64),
+        mut big: impl FnMut(usize, [u32; 2]),
+    ) {
+        let from = part_of[v] as usize;
+        let to = 1 - from;
+        part_of[v] = to as u8;
+        self.undo.push((v as u32, self.gain[v]));
+        for &j in hg.vertex_nets(v) {
+            let j = j as usize;
+            let w = hg.nwgt[j];
+            let before = self.move_pin(j, from, w);
+            let after = self.counts[j];
+            let pins = hg.net_pins(j);
+            if pins.len() > BIG_NET {
+                big(j, before);
+                continue;
+            }
+            self.gain[v] += net_gain(after, to, w) - net_gain(before, from, w);
+            // Every other pin's contribution depends only on its side.
+            let delta = [0, 1].map(|side| net_gain(after, side, w) - net_gain(before, side, w));
+            if delta == [0, 0] {
+                continue;
+            }
+            for &u in pins {
+                let u = u as usize;
+                let d = delta[part_of[u] as usize];
+                if u != v && d != 0 {
+                    if !self.is_touched[u] {
+                        self.is_touched[u] = true;
+                        self.touched.push(u as u32);
+                        self.undo.push((u as u32, self.gain[u]));
+                    }
+                    self.gain[u] += d;
+                }
+            }
+        }
+        for &u in &self.touched {
+            self.is_touched[u as usize] = false;
+            changed(u as usize, self.gain[u as usize]);
+        }
+        self.touched.clear();
+    }
+
+    /// Take back the moves of `rolled` (latest first) and restore the
+    /// gains logged since `mark`, the log length before the first of
+    /// them.
+    fn roll_back(&mut self, hg: &WorkHg, part_of: &mut [u8], rolled: &[u32], mark: usize) {
+        for &v in rolled.iter().rev() {
+            let v = v as usize;
+            let from = part_of[v] as usize;
+            part_of[v] = 1 - part_of[v];
+            for &j in hg.vertex_nets(v) {
+                self.move_pin(j as usize, from, hg.nwgt[j as usize]);
+            }
+        }
+        for &(u, g) in self.undo[mark..].iter().rev() {
+            self.gain[u as usize] = g;
+        }
+        self.undo.truncate(mark);
+    }
+}
+
 /// FM refinement for hypergraph bisections.
+///
+/// Side counts, gains, part weights and the cut are computed once per
+/// call and carried across passes, and a pass heapifies the vertices
+/// once. Moves update the gains of small nets' pins by O(1) deltas and
+/// log them, so a rollback restores the logged gains instead of
+/// recomputing anything. Nets above [`BIG_NET`] pins get no gain
+/// updates inside a pass, so their pins' gains go stale until it ends;
+/// after the rollback only the pins of the big nets the pass touched
+/// are settled, which makes every gain exact again without a rebuild.
 fn fm_refine_hg(
     hg: &WorkHg,
     part_of: &mut [u8],
@@ -419,30 +561,38 @@ fn fm_refine_hg(
         ((target[0] as f64) * ubfactor).ceil() as i64,
         ((target[1] as f64) * ubfactor).ceil() as i64,
     ];
+    let mut st = HgGains::new(hg, part_of, obj);
+    let mut part_w = [0i64; 2];
+    for v in 0..n {
+        part_w[part_of[v] as usize] += hg.vwgt[v];
+    }
+    let mut locked = vec![false; n];
+    let mut kept = vec![false; n];
+    let mut moves: Vec<u32> = Vec::new();
+    // Undo-log length before each move of the pass.
+    let mut marks: Vec<usize> = Vec::new();
+    // Big nets the pass touched, with their side counts at its start.
+    let mut big_touched = vec![false; hg.num_nets()];
+    let mut big_start: Vec<(u32, [u32; 2])> = Vec::new();
+
     for _ in 0..max_passes {
-        let mut counts = side_counts(hg, part_of);
-        let start_cut = objective_value(hg, &counts, obj);
-        let mut gain: Vec<i64> = (0..n).map(|v| move_gain(hg, &counts, part_of, v)).collect();
-        let mut part_w = [0i64; 2];
-        for v in 0..n {
-            part_w[part_of[v] as usize] += hg.vwgt[v];
-        }
-        let mut locked = vec![false; n];
-        let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
-        for v in 0..n {
-            heap.push((gain[v], Reverse(v as u32)));
-        }
-        let mut moves: Vec<u32> = Vec::new();
+        let start_cut = st.cut;
+        let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::from(
+            (0..n)
+                .map(|v| (st.gain[v], Reverse(v as u32)))
+                .collect::<Vec<_>>(),
+        );
+        moves.clear();
+        marks.clear();
         let mut cur_cut = start_cut;
         let mut best_cut = start_cut;
         let mut best_len = 0usize;
         let mut best_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
         let mut bad_streak = 0usize;
-        let mut old_contrib: Vec<i64> = Vec::new();
 
         while let Some((gtop, Reverse(v))) = heap.pop() {
             let v = v as usize;
-            if locked[v] || gtop != gain[v] {
+            if locked[v] || gtop != st.gain[v] {
                 continue;
             }
             let from = part_of[v] as usize;
@@ -456,48 +606,27 @@ fn fm_refine_hg(
                 continue;
             }
             locked[v] = true;
-            part_of[v] = to as u8;
             part_w[from] -= wv;
             part_w[to] += wv;
-            cur_cut -= gain[v];
+            cur_cut -= st.gain[v];
             moves.push(v as u32);
-            // Update counts and neighbour gains per net, with O(1)
-            // delta updates per pin: only net j's contribution to each
-            // pin's gain changes, so we subtract the old contribution
-            // and add the new one.
-            for &j in hg.vertex_nets(v) {
-                let j = j as usize;
-                let pins = hg.net_pins(j);
-                if pins.len() > BIG_NET {
-                    counts[j][from] -= 1;
-                    counts[j][to] += 1;
-                    continue;
-                }
-                // Old contributions (before the count change).
-                old_contrib.clear();
-                for &u in pins {
-                    let u = u as usize;
-                    old_contrib.push(if locked[u] || u == v {
-                        0
-                    } else {
-                        move_gain_single_net(hg, &counts, part_of, u, j)
-                    });
-                }
-                counts[j][from] -= 1;
-                counts[j][to] += 1;
-                for (pi, &u) in pins.iter().enumerate() {
-                    let u = u as usize;
-                    if locked[u] || u == v {
-                        continue;
+            marks.push(st.undo.len());
+            st.flip(
+                hg,
+                part_of,
+                v,
+                |u, g| {
+                    if !locked[u] {
+                        heap.push((g, Reverse(u as u32)));
                     }
-                    let new_contrib = move_gain_single_net(hg, &counts, part_of, u, j);
-                    let delta = new_contrib - old_contrib[pi];
-                    if delta != 0 {
-                        gain[u] += delta;
-                        heap.push((gain[u], Reverse(u as u32)));
+                },
+                |j, before| {
+                    if !big_touched[j] {
+                        big_touched[j] = true;
+                        big_start.push((j as u32, before));
                     }
-                }
-            }
+                },
+            );
             let now_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
             let improves = match (now_feasible, best_feasible) {
                 (true, false) => true,
@@ -518,33 +647,46 @@ fn fm_refine_hg(
         }
         for &v in &moves[best_len..] {
             let v = v as usize;
-            part_of[v] = 1 - part_of[v];
+            let from = part_of[v] as usize;
+            part_w[from] -= hg.vwgt[v];
+            part_w[1 - from] += hg.vwgt[v];
         }
+        if let Some(&mark) = marks.get(best_len) {
+            st.roll_back(hg, part_of, &moves[best_len..], mark);
+        }
+        st.undo.clear();
+        // Settle the touched big nets: replace each pin's contribution
+        // from the pass start with the current one.
+        for &v in &moves[..best_len] {
+            kept[v as usize] = true;
+        }
+        for &(j, start) in &big_start {
+            let j = j as usize;
+            big_touched[j] = false;
+            let (now, w) = (st.counts[j], hg.nwgt[j]);
+            for &u in hg.net_pins(j) {
+                let u = u as usize;
+                let side = part_of[u] as usize;
+                let start_side = side ^ kept[u] as usize;
+                st.gain[u] += net_gain(now, side, w) - net_gain(start, start_side, w);
+            }
+        }
+        big_start.clear();
+        for &v in &moves {
+            locked[v as usize] = false;
+            kept[v as usize] = false;
+        }
+        debug_assert!(st.is_exact(hg, part_of, obj));
+        debug_assert_eq!(part_w, {
+            let mut fresh = [0i64; 2];
+            for v in 0..n {
+                fresh[part_of[v] as usize] += hg.vwgt[v];
+            }
+            fresh
+        });
         if best_len == 0 || best_cut >= start_cut {
             break;
         }
-    }
-}
-
-/// Gain contribution of a single net (used by incremental updates).
-#[inline]
-fn move_gain_single_net(
-    hg: &WorkHg,
-    counts: &[[u32; 2]],
-    part_of: &[u8],
-    v: usize,
-    j: usize,
-) -> i64 {
-    let from = part_of[v] as usize;
-    let to = 1 - from;
-    let cf = counts[j][from];
-    let ct = counts[j][to];
-    if cf == 1 && ct > 0 {
-        hg.nwgt[j]
-    } else if ct == 0 && cf > 1 {
-        -hg.nwgt[j]
-    } else {
-        0
     }
 }
 
@@ -558,14 +700,16 @@ fn multilevel_bisect_hg(
     let mut rng = SplitMix::new(seed);
     // Coarsen.
     let mut levels: Vec<HgLevel> = Vec::new();
-    let mut current = hg.clone();
-    while current.num_vertices() > cfg.coarsen_to {
-        let m = match_vertices(&current, &mut rng);
-        let level = contract_hg(&current, &m);
+    loop {
+        let current = levels.last().map_or(hg, |l| &l.hg);
+        if current.num_vertices() <= cfg.coarsen_to {
+            break;
+        }
+        let m = match_vertices(current, &mut rng);
+        let level = contract_hg(current, &m);
         if level.hg.num_vertices() as f64 / current.num_vertices() as f64 > 0.95 {
             break;
         }
-        current = level.hg.clone();
         levels.push(level);
     }
     let coarsest: &WorkHg = levels.last().map(|l| &l.hg).unwrap_or(hg);
@@ -604,20 +748,42 @@ fn multilevel_bisect_hg(
     part
 }
 
+/// Reusable global-id scratch for [`sub_hypergraph`], sized to the full
+/// hypergraph once per [`partition_hypergraph`] call. Between calls
+/// every `local_of` entry is `u32::MAX` and every `net_seen` entry is
+/// `false`.
+struct SubScratch {
+    local_of: Vec<u32>,
+    net_seen: Vec<bool>,
+}
+
 /// Sub-hypergraph induced on a vertex subset: nets are restricted to
-/// surviving pins and dropped if ≤1 pin remains.
-fn sub_hypergraph(hg: &WorkHg, vertices: &[u32]) -> WorkHg {
-    let mut local_of = std::collections::HashMap::with_capacity(vertices.len());
+/// surviving pins and dropped if ≤1 pin remains. Only the nets incident
+/// to the subset are visited, in net order, so the cost is that of the
+/// subset's pins rather than of the whole hypergraph.
+fn sub_hypergraph(hg: &WorkHg, vertices: &[u32], scratch: &mut SubScratch) -> WorkHg {
+    let SubScratch { local_of, net_seen } = scratch;
+    let mut incident: Vec<u32> = Vec::new();
     for (l, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, l as u32);
+        local_of[v as usize] = l as u32;
+        for &j in hg.vertex_nets(v as usize) {
+            if !net_seen[j as usize] {
+                net_seen[j as usize] = true;
+                incident.push(j);
+            }
+        }
     }
+    incident.sort_unstable();
     let mut xpins = vec![0usize];
     let mut pins: Vec<u32> = Vec::new();
     let mut nwgt: Vec<i64> = Vec::new();
-    for j in 0..hg.num_nets() {
+    for &j in &incident {
+        let j = j as usize;
+        net_seen[j] = false;
         let start = pins.len();
         for &p in hg.net_pins(j) {
-            if let Some(&l) = local_of.get(&p) {
+            let l = local_of[p as usize];
+            if l != u32::MAX {
                 pins.push(l);
             }
         }
@@ -627,6 +793,9 @@ fn sub_hypergraph(hg: &WorkHg, vertices: &[u32]) -> WorkHg {
             xpins.push(pins.len());
             nwgt.push(hg.nwgt[j]);
         }
+    }
+    for &v in vertices {
+        local_of[v as usize] = u32::MAX;
     }
     let vwgt: Vec<i64> = vertices.iter().map(|&v| hg.vwgt[v as usize]).collect();
     let mut sub = WorkHg {
@@ -650,68 +819,70 @@ pub fn partition_hypergraph(h: &Hypergraph, cfg: &HypergraphPartitionConfig) -> 
     let hg = WorkHg::from_hypergraph(h);
     let n = hg.num_vertices();
     let k = cfg.num_parts.max(1);
-    let mut part_of = vec![0u32; n];
     if k == 1 || n == 0 {
-        return part_of;
+        return vec![0u32; n];
     }
+    let mut rec = Recursion {
+        hg_full: &hg,
+        cfg,
+        part_of: vec![0u32; n],
+        scratch: SubScratch {
+            local_of: vec![u32::MAX; n],
+            net_seen: vec![false; hg.num_nets()],
+        },
+    };
     let vertices: Vec<u32> = (0..n as u32).collect();
-    recurse_hg(&hg, &vertices, 0, k, cfg, cfg.seed, &mut part_of);
-    part_of
+    rec.recurse(&vertices, 0, k, cfg.seed);
+    rec.part_of
 }
 
-fn recurse_hg(
-    hg_full: &WorkHg,
-    vertices: &[u32],
-    base: u32,
-    k: usize,
-    cfg: &HypergraphPartitionConfig,
-    seed: u64,
-    part_of: &mut [u32],
-) {
-    if k == 1 || vertices.len() <= 1 {
-        for &v in vertices {
-            part_of[v as usize] = base;
+/// State shared by every bisection of the recursion.
+struct Recursion<'a> {
+    hg_full: &'a WorkHg,
+    cfg: &'a HypergraphPartitionConfig,
+    part_of: Vec<u32>,
+    scratch: SubScratch,
+}
+
+impl Recursion<'_> {
+    /// Recursively bisect the sub-hypergraph induced by `vertices` into
+    /// parts `base..base+k`.
+    fn recurse(&mut self, vertices: &[u32], base: u32, k: usize, seed: u64) {
+        if k == 1 || vertices.len() <= 1 {
+            for &v in vertices {
+                self.part_of[v as usize] = base;
+            }
+            return;
         }
-        return;
-    }
-    let sub = if vertices.len() == hg_full.num_vertices() {
-        hg_full.clone()
-    } else {
-        sub_hypergraph(hg_full, vertices)
-    };
-    let k0 = k / 2;
-    let k1 = k - k0;
-    let total = sub.total_vertex_weight();
-    let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
-    let target = [t0, total - t0];
-    let bis = multilevel_bisect_hg(&sub, target, cfg, seed);
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (local, &global) in vertices.iter().enumerate() {
-        if bis[local] == 0 {
-            left.push(global);
+        let sub = if vertices.len() == self.hg_full.num_vertices() {
+            Cow::Borrowed(self.hg_full)
         } else {
-            right.push(global);
+            Cow::Owned(sub_hypergraph(self.hg_full, vertices, &mut self.scratch))
+        };
+        let k0 = k / 2;
+        let k1 = k - k0;
+        let total = sub.total_vertex_weight();
+        let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
+        let target = [t0, total - t0];
+        let bis = multilevel_bisect_hg(&sub, target, self.cfg, seed);
+        drop(sub);
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for (local, &global) in vertices.iter().enumerate() {
+            if bis[local] == 0 {
+                left.push(global);
+            } else {
+                right.push(global);
+            }
         }
+        self.recurse(&left, base, k0, seed.wrapping_mul(0x9E37).wrapping_add(3));
+        self.recurse(
+            &right,
+            base + k0 as u32,
+            k1,
+            seed.wrapping_mul(0x9E37).wrapping_add(4),
+        );
     }
-    recurse_hg(
-        hg_full,
-        &left,
-        base,
-        k0,
-        cfg,
-        seed.wrapping_mul(0x9E37).wrapping_add(3),
-        part_of,
-    );
-    recurse_hg(
-        hg_full,
-        &right,
-        base + k0 as u32,
-        k1,
-        cfg,
-        seed.wrapping_mul(0x9E37).wrapping_add(4),
-        part_of,
-    );
 }
 
 #[cfg(test)]
@@ -809,6 +980,71 @@ mod tests {
             after < before / 2,
             "FM should fix interleaving: {before} -> {after}"
         );
+    }
+
+    /// A unit-weight working hypergraph from explicit pin lists.
+    fn work_hg(n: usize, nets: &[Vec<u32>]) -> WorkHg {
+        let mut xpins = vec![0usize];
+        let mut pins = Vec::new();
+        for net in nets {
+            pins.extend_from_slice(net);
+            xpins.push(pins.len());
+        }
+        let mut hg = WorkHg {
+            xpins,
+            pins,
+            xnets: Vec::new(),
+            nets: Vec::new(),
+            vwgt: vec![1; n],
+            nwgt: vec![1; nets.len()],
+        };
+        hg.rebuild_vertex_nets();
+        hg
+    }
+
+    /// FM from a bisection whose two big nets (above `BIG_NET` pins)
+    /// have a single pin on the minority side, among random small nets:
+    /// kept moves cross the big nets' cut thresholds, so their pins'
+    /// stale in-pass gains must be settled at the end of each pass. FM
+    /// debug-asserts after every pass that all gains, side counts and
+    /// the cut equal a from-scratch recompute.
+    #[test]
+    fn fm_settles_big_net_gains() {
+        let n = 400;
+        let mut rng = SplitMix::new(0xB16);
+        let mut crossed = 0;
+        for _ in 0..12 {
+            let mut nets: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..700 {
+                let mut net: Vec<u32> = Vec::new();
+                for _ in 0..2 + rng.next_below(4) {
+                    let p = rng.next_below(n) as u32;
+                    if !net.contains(&p) {
+                        net.push(p);
+                    }
+                }
+                if net.len() > 1 {
+                    nets.push(net);
+                }
+            }
+            let small = nets.len();
+            for _ in 0..2 {
+                let mut net: Vec<u32> = (0..300).collect();
+                net.push(300 + rng.next_below(100) as u32);
+                nets.push(net);
+            }
+            assert!(nets[small..].iter().all(|net| net.len() > BIG_NET));
+            let hg = work_hg(n, &nets);
+            let start: Vec<u8> = (0..n).map(|v| (v >= 300) as u8).collect();
+            let mut part = start.clone();
+            fm_refine_hg(&hg, &mut part, [300, 100], 1.05, 6, HyperObjective::CutNet);
+            let moved_big_pin = nets[small..]
+                .iter()
+                .flatten()
+                .any(|&v| part[v as usize] != start[v as usize]);
+            crossed += moved_big_pin as usize;
+        }
+        assert!(crossed > 0, "no kept move crossed a big net");
     }
 
     #[test]

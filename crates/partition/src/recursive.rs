@@ -6,6 +6,7 @@ use crate::initial::greedy_growing_bisection;
 use crate::rng::SplitMix;
 use crate::Bisection;
 use sparsegraph::Graph;
+use std::borrow::Cow;
 
 /// Configuration for [`partition_graph`].
 #[derive(Debug, Clone)]
@@ -107,7 +108,7 @@ fn recurse(
         }
         return;
     }
-    let (sub, map) = subgraph_of(g_full, vertices);
+    let sub = subgraph_of(g_full, vertices);
     // Split k into k0 + k1 (k0 = floor(k/2)); target weights
     // proportional to the split so non-power-of-two k stays balanced.
     let k0 = k / 2;
@@ -119,7 +120,7 @@ fn recurse(
 
     let mut left = Vec::with_capacity(vertices.len() / 2 + 1);
     let mut right = Vec::with_capacity(vertices.len() / 2 + 1);
-    for (local, &global) in map.iter().enumerate() {
+    for (local, &global) in vertices.iter().enumerate() {
         if bis.part_of[local] == 0 {
             left.push(global);
         } else {
@@ -146,14 +147,13 @@ fn recurse(
     );
 }
 
-/// Extract a vertex-induced subgraph (thin wrapper over
-/// `Graph::subgraph`, avoiding the extra map clone when the vertex set
-/// is the whole graph).
-fn subgraph_of(g: &Graph, vertices: &[u32]) -> (Graph, Vec<u32>) {
+/// The subgraph induced by `vertices` (local ids follow their order),
+/// borrowing the graph itself when the set is all of it.
+fn subgraph_of<'g>(g: &'g Graph, vertices: &[u32]) -> Cow<'g, Graph> {
     if vertices.len() == g.num_vertices() {
-        (g.clone(), vertices.to_vec())
+        Cow::Borrowed(g)
     } else {
-        g.subgraph(vertices)
+        Cow::Owned(g.subgraph(vertices).0)
     }
 }
 

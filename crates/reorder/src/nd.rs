@@ -12,6 +12,7 @@ use crate::traits::{ReorderAlgorithm, ReorderResult};
 use partition::vertex_separator;
 use sparsegraph::Graph;
 use sparsemat::{CsrMatrix, Permutation, SparseError};
+use std::borrow::Cow;
 
 /// Nested dissection reordering.
 #[derive(Debug, Clone, Copy)]
@@ -64,23 +65,21 @@ impl Nd {
         order: &mut Vec<u32>,
         rx: &ReorderExec<'_>,
     ) {
+        let sub = subgraph_of(g_full, vertices);
+        let to_global =
+            |locals: &[u32]| -> Vec<u32> { locals.iter().map(|&l| vertices[l as usize]).collect() };
         if vertices.len() <= self.leaf_size {
-            let (sub, map) = subgraph_of(g_full, vertices);
-            let local = amd_order_on(&sub, true, 0, rx).0;
-            order.extend(local.iter().map(|&l| map[l as usize]));
+            order.extend(to_global(&amd_order_on(&sub, true, 0, rx).0));
             return;
         }
-        let (sub, map) = subgraph_of(g_full, vertices);
         let sep = vertex_separator(&sub, self.ubfactor, seed);
         // Degenerate separator (e.g. a clique where one side is empty):
         // stop dissecting and fall back to minimum degree.
         if sep.left.is_empty() || sep.right.is_empty() {
-            let local = amd_order_on(&sub, true, 0, rx).0;
-            order.extend(local.iter().map(|&l| map[l as usize]));
+            order.extend(to_global(&amd_order_on(&sub, true, 0, rx).0));
             return;
         }
-        let to_global =
-            |locals: &[u32]| -> Vec<u32> { locals.iter().map(|&l| map[l as usize]).collect() };
+        drop(sub);
         let left = to_global(&sep.left);
         let right = to_global(&sep.right);
         let separator = to_global(&sep.separator);
@@ -103,11 +102,13 @@ impl Nd {
     }
 }
 
-fn subgraph_of(g: &Graph, vertices: &[u32]) -> (Graph, Vec<u32>) {
+/// The subgraph induced by `vertices` (local ids follow their order),
+/// borrowing the graph itself when the set is all of it.
+fn subgraph_of<'g>(g: &'g Graph, vertices: &[u32]) -> Cow<'g, Graph> {
     if vertices.len() == g.num_vertices() {
-        (g.clone(), vertices.to_vec())
+        Cow::Borrowed(g)
     } else {
-        g.subgraph(vertices)
+        Cow::Owned(g.subgraph(vertices).0)
     }
 }
 

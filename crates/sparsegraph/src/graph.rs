@@ -235,36 +235,57 @@ impl Graph {
 
     /// Extract the vertex-induced subgraph on `vertices`, returning the
     /// subgraph and the mapping `local -> global`.
+    ///
+    /// Costs O(|vertices| + their degrees). The global→local lookup is a
+    /// dense per-thread array that grows to the largest graph seen and
+    /// is reset entry by entry after each call, so extracting many small
+    /// pieces of a big graph never pays for a full-size map per piece.
     pub fn subgraph(&self, vertices: &[u32]) -> (Graph, Vec<u32>) {
-        let mut global_to_local = std::collections::HashMap::with_capacity(vertices.len());
-        for (local, &v) in vertices.iter().enumerate() {
-            global_to_local.insert(v, local as u32);
-        }
-        let mut xadj = Vec::with_capacity(vertices.len() + 1);
-        xadj.push(0usize);
-        let mut adjncy = Vec::new();
-        let mut ewgt = Vec::new();
-        let mut vwgt = Vec::with_capacity(vertices.len());
-        for &v in vertices {
-            for (u, w) in self.neighbors_weighted(v as usize) {
-                if let Some(&lu) = global_to_local.get(&u) {
-                    adjncy.push(lu);
-                    ewgt.push(w);
-                }
+        LOCAL_OF.with(|cell| {
+            let mut local_of = cell.take();
+            if local_of.len() < self.num_vertices() {
+                local_of.resize(self.num_vertices(), u32::MAX);
             }
-            xadj.push(adjncy.len());
-            vwgt.push(self.vwgt[v as usize]);
-        }
-        (
-            Graph {
-                xadj,
-                adjncy,
-                vwgt,
-                ewgt,
-            },
-            vertices.to_vec(),
-        )
+            for (local, &v) in vertices.iter().enumerate() {
+                local_of[v as usize] = local as u32;
+            }
+            let mut xadj = Vec::with_capacity(vertices.len() + 1);
+            xadj.push(0usize);
+            let mut adjncy = Vec::new();
+            let mut ewgt = Vec::new();
+            let mut vwgt = Vec::with_capacity(vertices.len());
+            for &v in vertices {
+                for (u, w) in self.neighbors_weighted(v as usize) {
+                    let lu = local_of[u as usize];
+                    if lu != u32::MAX {
+                        adjncy.push(lu);
+                        ewgt.push(w);
+                    }
+                }
+                xadj.push(adjncy.len());
+                vwgt.push(self.vwgt[v as usize]);
+            }
+            for &v in vertices {
+                local_of[v as usize] = u32::MAX;
+            }
+            cell.set(local_of);
+            (
+                Graph {
+                    xadj,
+                    adjncy,
+                    vwgt,
+                    ewgt,
+                },
+                vertices.to_vec(),
+            )
+        })
     }
+}
+
+thread_local! {
+    /// Scratch global→local map of [`Graph::subgraph`]; every entry is
+    /// `u32::MAX` between calls.
+    static LOCAL_OF: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 #[cfg(test)]
